@@ -2,12 +2,16 @@
 
 Every registered :class:`~repro.backends.base.TrngBackend` runs the
 same protocol on the same seeded device — characterize, compile,
-sample — and the benchmark reports four axes per backend:
+sample — and the benchmark reports five axes per backend:
 
 * **throughput** — the compiled plan's modeled sustained rate
   (DRAM-time, from the :class:`~repro.sim.engine.TimingEngine` command
   replay — not wall clock, which measures the simulator, not the
   mechanism);
+* **host throughput** — host wall-clock rate of ``sample`` on this
+  machine: the median of repeated 64 Kib requests into one reused
+  ``out=`` buffer.  It measures the simulator's code, is recorded next
+  to the modeled figure under its own name, and is never gated;
 * **latency** — modeled DRAM time to serve one 64-bit request at that
   rate;
 * **NIST pass rate** — fraction of applicable suite tests passed on a
@@ -31,7 +35,11 @@ Two entry points:
 
 import argparse
 import json
+import statistics
 import sys
+import time
+
+import numpy as np
 
 from repro.backends import available_backends, create_backend
 from repro.core.profiling import Region
@@ -48,6 +56,9 @@ REGION_ROWS = 64
 NIST_BITS_FULL = 262_144
 NIST_BITS_QUICK = 32_768
 QUAC_MIN_SPEEDUP = 2.0
+HOST_SAMPLE_BITS = 1 << 16
+HOST_SAMPLE_REPEATS_FULL = 15
+HOST_SAMPLE_REPEATS_QUICK = 5
 
 
 def _device():
@@ -101,7 +112,23 @@ def _energy_nj_per_bit(device, backend_name, plan, iterations=8):
     return model.energy_per_bit(engine.trace, bits=bits) * 1e9
 
 
-def _bench_backend(name, nist_bits):
+def _host_sample_mbps(backend, plan, repeats):
+    """Host wall-clock ``sample`` throughput in Mb/s (median of repeats).
+
+    One untimed request first, so plan-resident caches and the
+    allocator are warm, as in a serving process.
+    """
+    out = np.empty(HOST_SAMPLE_BITS, dtype=np.uint8)
+    backend.sample(plan, out.size, out=out)
+    seconds = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        backend.sample(plan, out.size, out=out)
+        seconds.append(time.perf_counter() - start)
+    return out.size / statistics.median(seconds) / 1e6
+
+
+def _bench_backend(name, nist_bits, host_repeats):
     device = _device()
     backend = create_backend(name)
     region = Region(banks=REGION_BANKS, row_start=0, row_count=REGION_ROWS)
@@ -118,6 +145,9 @@ def _bench_backend(name, nist_bits):
         "bits_per_iteration": int(plan.bits_per_iteration),
         "iteration_ns": round(plan.iteration_ns, 1),
         "throughput_mbps": round(throughput, 1),
+        "host_sample_mbps": round(
+            _host_sample_mbps(backend, plan, host_repeats), 1
+        ),
         "latency_64bit_ns": round(64.0 * 1e3 / throughput, 1)
         if throughput
         else None,
@@ -133,8 +163,9 @@ def _bench_backend(name, nist_bits):
 
 def run(quick=False):
     nist_bits = NIST_BITS_QUICK if quick else NIST_BITS_FULL
+    host_repeats = HOST_SAMPLE_REPEATS_QUICK if quick else HOST_SAMPLE_REPEATS_FULL
     backends = {
-        name: _bench_backend(name, nist_bits)
+        name: _bench_backend(name, nist_bits, host_repeats)
         for name in available_backends()
     }
     speedup = None
@@ -155,9 +186,10 @@ def run(quick=False):
 
 def _format(results):
     lines = [
-        "backend comparison (modeled DRAM-time, seeded device A-00000):",
+        "backend comparison, seeded device A-00000 (modeled DRAM time;"
+        " host Mb/s is wall clock on this machine):",
         f"  {'backend':<9}{'sites':>6}{'b/iter':>8}{'Mb/s':>10}"
-        f"{'ns/64b':>9}{'NIST':>8}{'nJ/bit':>9}",
+        f"{'ns/64b':>9}{'NIST':>8}{'nJ/bit':>9}{'host Mb/s':>11}",
     ]
     for name in sorted(results["backends"]):
         row = results["backends"][name]
@@ -166,6 +198,7 @@ def _format(results):
             f"{row['throughput_mbps']:>10.1f}{row['latency_64bit_ns']:>9.1f}"
             f"{row['nist_passed']:>4}/{row['nist_total']:<3}"
             f"{row['energy_nj_per_bit']:>9.3f}"
+            f"{row['host_sample_mbps']:>11.1f}"
         )
     if results["quac_speedup_over_drange"] is not None:
         lines.append(

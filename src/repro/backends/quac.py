@@ -33,6 +33,7 @@ from repro.core.profiling import Region
 from repro.dram.quac import QUAC_ROWS, QuacPlane
 from repro.dram.timing import TimingParameters
 from repro.errors import ConfigurationError
+from repro.noise import BernoulliPlane
 from repro.obs import runtime as obs
 from repro.postprocess import sha256_block_condition
 from repro.sim.engine import TimingEngine
@@ -181,10 +182,15 @@ class QuacProfile:
 
 @dataclass
 class QuacPlan:
-    """Snapshot of per-column sensing probabilities at one epoch."""
+    """Snapshot of per-column sensing probabilities at one epoch.
+
+    ``bernoulli`` is the snapshot compiled for the mixture sampler,
+    drawn by every :meth:`QuacBackend.sample` call under this plan.
+    """
 
     profile: QuacProfile
     probabilities: np.ndarray
+    bernoulli: BernoulliPlane
     epoch: int
     raw_bits_per_iteration: int
     output_bits_per_iteration: int
@@ -356,6 +362,7 @@ class QuacBackend:
         return QuacPlan(
             profile=profile,
             probabilities=probs,
+            bernoulli=BernoulliPlane.compile(probs),
             epoch=device.state_epoch,
             raw_bits_per_iteration=raw_bits,
             output_bits_per_iteration=output_bits,
@@ -371,23 +378,24 @@ class QuacBackend:
         """Harvest ``num_bits`` conditioned bits under ``plan``.
 
         Raw bits are drawn with the exact mixture sampler from the
-        plan's probability snapshot (one iteration = one MACT + readout
-        per site), then conditioned 512→256 with SHA-256.  The draw
+        plan's compiled probability snapshot (one iteration = one MACT +
+        readout per site), then conditioned 512→256 with SHA-256, each
+        chunk straight into the result (``out`` when given).  The draw
         consumes the device's noise stream, so seeded outputs are
         reproducible and independent of worker scheduling.
         """
         if num_bits <= 0:
             raise ConfigurationError(f"num_bits must be positive, got {num_bits}")
         ensure_bits_buffer(out, num_bits)
-        probs = plan.probabilities
-        raw_per_iter = int(probs.size)
+        plane = plan.bernoulli
+        raw_per_iter = plane.size
         if not raw_per_iter:
             raise ConfigurationError("QUAC plan has no columns to sample")
         noise = plan.profile.device.noise
+        bits = np.empty(num_bits, dtype=np.uint8) if out is None else out
         with obs.span(
             "backend.sample", backend=self.name, bits=num_bits
         ) as sp:
-            chunks: List[np.ndarray] = []
             produced = 0
             while produced < num_bits:
                 missing = num_bits - produced
@@ -396,20 +404,17 @@ class QuacBackend:
                 need_blocks = -(-missing // self._digest_bits)
                 need_raw = max(need_blocks * self._block_bits, self._block_bits)
                 iters = -(-need_raw // raw_per_iter)
-                raw = noise.bernoulli_plane(probs, iters).view(np.uint8).reshape(-1)
+                raw = noise.bernoulli_plane(plane, iters).reshape(-1)
                 conditioned = sha256_block_condition(
                     raw, self._block_bits, self._digest_bits
                 )
-                chunks.append(conditioned)
-                produced += int(conditioned.size)
-        bits = np.concatenate(chunks)[:num_bits].astype(np.uint8)
+                take = min(int(conditioned.size), missing)
+                bits[produced : produced + take] = conditioned[:take]
+                produced += take
         if obs.enabled():
             _OBS_BITS.add(num_bits)
             if sp.elapsed_ns > 0:
                 _OBS_NS_PER_BIT.observe(sp.elapsed_ns / num_bits)
-        if out is not None:
-            out[...] = bits
-            return out
         return bits
 
     def _collect_plane(self) -> None:

@@ -33,6 +33,7 @@ import numpy.typing as npt
 from repro.core.selection import BankPlan
 from repro.dram.datapattern import DataPattern
 from repro.dram.device import DramDevice
+from repro.noise import BernoulliPlane
 
 __all__ = ["CompiledSamplePlan", "CompiledWord", "compile_cells", "compile_sample_plan"]
 
@@ -72,8 +73,10 @@ class CompiledSamplePlan:
     ``cells`` is the ``(N, 3)`` (bank, row, col) coordinate array in
     loop order (bank plans in order, word1 then word2, cells in word
     order); ``stored_bits`` and ``probabilities`` are the per-cell
-    pattern bits and failure probabilities snapshotted at compile time.
-    All arrays are read-only.
+    pattern bits and failure probabilities snapshotted at compile time,
+    and ``bernoulli`` is the two compiled for the mixture sampler (the
+    stored bits as its invert mask, so draws are read bits).  All
+    arrays are read-only.
     """
 
     trcd_ns: float
@@ -82,6 +85,7 @@ class CompiledSamplePlan:
     probabilities: npt.NDArray[np.float64]
     words: Tuple[CompiledWord, ...]
     epoch: int
+    bernoulli: BernoulliPlane
 
     @property
     def n_cells(self) -> int:
@@ -138,6 +142,7 @@ def compile_cells(
         probabilities=_frozen(probabilities),
         words=(),
         epoch=int(device.state_epoch),
+        bernoulli=BernoulliPlane.compile(probabilities, invert=stored),
     )
 
 
@@ -195,4 +200,5 @@ def compile_sample_plan(
         probabilities=_frozen(probabilities),
         words=tuple(words),
         epoch=int(device.state_epoch),
+        bernoulli=BernoulliPlane.compile(probabilities, invert=stored),
     )

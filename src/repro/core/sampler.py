@@ -251,8 +251,7 @@ class DRangeSampler:
                     per_cell,
                     self._trcd_ns,
                     mixture=True,
-                    probabilities=plan.probabilities,
-                    stored_bits=plan.stored_bits,
+                    compiled=plan.bernoulli,
                 )
             finally:
                 self.teardown()

@@ -40,7 +40,7 @@ from repro.dram.startup import StartupModel
 from repro.dram.timing import LPDDR4_3200, TimingParameters
 from repro.dram.variation import VariationField, hash_u64
 from repro.errors import ConfigurationError
-from repro.noise import NoiseSource
+from repro.noise import BernoulliPlane, NoiseSource
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.backends.base import BackendProfile, TrngBackend
@@ -472,8 +472,7 @@ class DramDevice:
         count: int,
         trcd_ns: float,
         mixture: bool = False,
-        probabilities: Optional[np.ndarray] = None,
-        stored_bits: Optional[np.ndarray] = None,
+        compiled: Optional[BernoulliPlane] = None,
         noise: Optional[NoiseSource] = None,
     ) -> np.ndarray:
         """``count`` reads of every cell in one batched draw.
@@ -491,9 +490,10 @@ class DramDevice:
         exact per-cell Bernoulli distribution, an order of magnitude
         faster, but a different (still reproducible) seeded stream.
 
-        ``probabilities``/``stored_bits`` let a caller holding a fresh
-        :class:`~repro.core.plan.CompiledSamplePlan` snapshot skip the
-        per-cell recompute; they must describe the same ``cells`` at the
+        ``compiled`` lets a caller holding a fresh
+        :class:`~repro.core.plan.CompiledSamplePlan` hand over its
+        :class:`~repro.noise.BernoulliPlane` (mixture only) and skip the
+        per-cell recompute; it must describe the same ``cells`` at the
         current ``state_epoch`` (the plan's staleness check guarantees
         this on the generation hot path).  ``noise`` substitutes a
         caller-owned stream for the device's source (the parallel
@@ -502,21 +502,23 @@ class DramDevice:
         """
         cells = self._validated_cells(cells)
         source = self._noise if noise is None else noise
-        probs = (
-            probabilities
-            if probabilities is not None
-            else self.cells_failure_probabilities(cells, trcd_ns)
-        )
-        stored = (
-            stored_bits
-            if stored_bits is not None
-            else self.cells_stored_bits(cells)
-        )
+        if compiled is not None and not mixture:
+            raise ConfigurationError("a compiled plane drives the mixture sampler only")
         if mixture:
+            if compiled is None:
+                compiled = BernoulliPlane.compile(
+                    self.cells_failure_probabilities(cells, trcd_ns),
+                    invert=self.cells_stored_bits(cells),
+                )
+            elif compiled.size != len(cells):
+                raise ConfigurationError(
+                    f"compiled plane has {compiled.size} columns for {len(cells)} cells"
+                )
             # The stored-bit XOR is folded into the sampling threshold
             # (``invert``), so the draw directly yields read bits.
-            flips = source.bernoulli_plane(probs, count, invert=stored)
-            return flips.view(np.uint8)
+            return source.bernoulli_plane(compiled, count).view(np.uint8)
+        probs = self.cells_failure_probabilities(cells, trcd_ns)
+        stored = self.cells_stored_bits(cells)
         matrix = np.broadcast_to(probs[:, np.newaxis], (len(cells), count))
         flips = source.bernoulli(matrix)
         bits = np.where(

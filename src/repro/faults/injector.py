@@ -24,7 +24,7 @@ draw noise directly (the command-level ``generate`` loop).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from repro.dram.device import DramDevice
 from repro.dram.failures import OperatingPoint
 from repro.faults.models import AccessContext, FaultModel
 from repro.faults.schedule import FaultSchedule, FaultWindow
-from repro.noise import NoiseSource
+from repro.noise import BernoulliPlane, NoiseSource
 
 
 class FaultInjector:
@@ -287,8 +287,7 @@ class FaultInjector:
         count: int,
         trcd_ns: float,
         mixture: bool = False,
-        probabilities: Optional[np.ndarray] = None,
-        stored_bits: Optional[np.ndarray] = None,
+        compiled: Optional[BernoulliPlane] = None,
         noise: Optional[NoiseSource] = None,
     ) -> np.ndarray:
         """Faulted counterpart of :meth:`DramDevice.sample_cells_bits`.
@@ -303,16 +302,16 @@ class FaultInjector:
         j`` for iteration ``i``, cell ``j``), matching where each bit
         lands in the generated stream.
 
-        ``probabilities``/``stored_bits`` snapshots are accepted for
-        interface parity but deliberately dropped: a plan compiled while
-        a fault window covered the bit clock carries transformed values,
-        and the clock's movement is invisible to ``state_epoch`` — so
-        faulted sampling always re-derives from the live schedule.
+        A ``compiled`` plane is accepted for interface parity but
+        deliberately dropped: a plan compiled while a fault window
+        covered the bit clock carries transformed values, and the
+        clock's movement is invisible to ``state_epoch`` — so faulted
+        sampling always re-derives from the live schedule.
         ``noise`` substitutes a caller-owned stream on the no-fault fast
         path (faulted paths draw from the device's own source, whose
         sequential consumption the bit clock assumes).
         """
-        del probabilities, stored_bits
+        del compiled
         device = self._device
         cells = np.asarray(cells, dtype=np.int64).reshape(-1, 3)
         start = self._bits_elapsed
@@ -442,7 +441,7 @@ class FaultyNoiseSource(NoiseSource):
 
     def bernoulli_plane(
         self,
-        probabilities: np.ndarray,
+        probabilities: Union[np.ndarray, BernoulliPlane],
         count: int,
         invert: Optional[np.ndarray] = None,
     ) -> np.ndarray:
@@ -453,12 +452,16 @@ class FaultyNoiseSource(NoiseSource):
         draw clock), so this falls back to the full faulted Bernoulli
         matrix in the same iteration-major shape.  Faults transform the
         *flip* probabilities, as in :meth:`bernoulli`; the ``invert``
-        column fold is applied on top of the faulted draws.
+        column fold is applied on top of the faulted draws.  A compiled
+        :class:`~repro.noise.BernoulliPlane` is drawn from the (clipped)
+        probabilities and the invert mask it was compiled from.
         """
-        probs = np.asarray(probabilities, dtype=np.float64).ravel()
-        flips = self.bernoulli(np.broadcast_to(probs, (count, probs.size)))
-        if invert is not None:
-            flips = flips ^ np.asarray(invert).ravel().astype(bool)[np.newaxis, :]
+        plane = BernoulliPlane.of(probabilities, invert)
+        flips = self.bernoulli(
+            np.broadcast_to(plane.probabilities, (count, plane.size))
+        )
+        if plane.invert is not None:
+            flips = flips ^ plane.invert[np.newaxis, :]
         return flips
 
     def binomial(self, trials: int, probabilities: np.ndarray) -> np.ndarray:

@@ -14,16 +14,24 @@ BitsLike = Union[np.ndarray, bytes, bytearray, Iterable[int]]
 def as_bits(data: BitsLike) -> np.ndarray:
     """Normalize input into a uint8 array of 0/1 bits.
 
-    Accepts a 0/1 integer array/iterable, or raw ``bytes`` which are
-    unpacked MSB-first.
+    Accepts a 0/1 integer or boolean array/iterable, or raw ``bytes``
+    which are unpacked MSB-first.  Boolean input holds only 0/1 by
+    construction and is not scanned; integer input is range-checked
+    with one ``min``/``max`` pass; anything else is checked value by
+    value.
     """
     if isinstance(data, (bytes, bytearray)):
         return np.unpackbits(np.frombuffer(bytes(data), dtype=np.uint8))
     bits = np.asarray(data)
     if bits.ndim != 1:
         raise ValueError(f"bitstream must be 1-D, got shape {bits.shape}")
-    if bits.size and not np.isin(bits, (0, 1)).all():
-        raise ValueError("bitstream must contain only 0s and 1s")
+    if bits.size and bits.dtype != np.bool_:
+        if np.issubdtype(bits.dtype, np.integer):
+            valid = bits.min() >= 0 and bits.max() <= 1
+        else:
+            valid = np.isin(bits, (0, 1)).all()
+        if not valid:
+            raise ValueError("bitstream must contain only 0s and 1s")
     return bits.astype(np.uint8)
 
 

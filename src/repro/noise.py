@@ -20,7 +20,8 @@ whereas read noise is drawn fresh on every access.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 import numpy.typing as npt
@@ -28,6 +29,221 @@ import numpy.typing as npt
 #: Shape accepted by the drawing methods: a scalar length, a full shape
 #: tuple, or ``None`` for "a single scalar draw" where supported.
 ShapeLike = Union[int, Tuple[int, ...]]
+
+
+#: Gap slots evaluated up front for every correction cell expecting at
+#: most one hit (two thirds of a QUAC row gets no hit at all): such a
+#: cell needs four or more slots with probability under 2%, and then
+#: finishes in the segment pass.
+_HEAD_SLOTS = 4
+
+#: Fewest such cells for which the head pass pays: it costs about a
+#: dozen numpy calls whatever the plane's size, roughly the per-slot
+#: work it saves on several dozen cells.  With fewer, every cell goes
+#: straight to the segment pass.
+_HEAD_MIN_CELLS = 64
+
+#: Distinct ``count`` values whose gap layout a compiled plane keeps.
+_LAYOUT_CACHE_SIZE = 8
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def _gaps(
+    u: npt.NDArray[np.float64], log_w: npt.ArrayLike, count: int
+) -> npt.NDArray[np.int64]:
+    """Geometric inter-arrival gaps ``1 + floor(log(1−u)/log(1−w))``.
+
+    Tiny ``w`` makes raw gaps astronomically large; they are clamped to
+    ``count`` before the integer cast (a gap of ``count + 1`` already
+    lands every later position past the matrix, so clamping is exact).
+    """
+    raw = np.fmin(np.floor(np.log1p(-u) / log_w), float(count))
+    return 1 + raw.astype(np.int64)
+
+
+@dataclass(frozen=True)
+class _Segments:
+    """The gap slots one segment pass evaluates.
+
+    Correction cell ``cells[i]`` contributes the run of its budget from
+    slot ``skip`` on (0, or :data:`_HEAD_SLOTS` for a head cell resuming
+    after its head).  ``slots`` indexes the uniform block, run after
+    run, each ``runs[i]`` long and ending at ``ends[i]``; ``log_w`` and
+    ``cols`` repeat each cell's weight and flip column over its run.
+    """
+
+    cells: npt.NDArray[np.int64]
+    runs: npt.NDArray[np.int64]
+    ends: npt.NDArray[np.int64]
+    slots: npt.NDArray[np.int64]
+    log_w: npt.NDArray[np.float64]
+    cols: npt.NDArray[np.int64]
+
+    @classmethod
+    def build(
+        cls,
+        plane: "BernoulliPlane",
+        budget: npt.NDArray[np.int64],
+        starts: npt.NDArray[np.int64],
+        cells: npt.NDArray[np.int64],
+        skip: Union[int, npt.NDArray[np.int64]],
+    ) -> "_Segments":
+        # Every budget is at least 16 slots, more than the head, so
+        # every run is non-empty.
+        runs = budget[cells] - skip
+        ends = np.cumsum(runs)
+        slots = np.arange(ends[-1]) + np.repeat(
+            starts[cells] + skip - (ends - runs), runs
+        )
+        return cls(
+            cells=cells,
+            runs=runs,
+            ends=ends,
+            slots=slots,
+            log_w=np.repeat(plane.log_w[cells], runs),
+            cols=np.repeat(plane.cells[cells], runs),
+        )
+
+
+@dataclass(frozen=True)
+class _GapLayout:
+    """Where each correction cell's gap slots sit in the uniform block.
+
+    Correction cell ``k`` owns ``budget[k]`` slots from ``starts[k]``
+    on, ``total`` in all.  Cells expecting at most one hit in ``count``
+    rows are ``head`` cells: their first :data:`_HEAD_SLOTS` slots
+    (``head_slots``, one row per cell) are evaluated together, and only
+    the few still short of ``count`` go on to a segment pass.  The
+    others go to the segment pass directly (``direct``).
+    """
+
+    budget: npt.NDArray[np.int64]
+    starts: npt.NDArray[np.int64]
+    total: int
+    head: npt.NDArray[np.int64]
+    head_slots: npt.NDArray[np.int64]
+    head_log_w: npt.NDArray[np.float64]
+    head_cols: npt.NDArray[np.int64]
+    direct: Optional[_Segments]
+
+    @classmethod
+    def build(cls, plane: "BernoulliPlane", count: int) -> "_GapLayout":
+        expected = count * plane.w
+        budget = np.ceil(expected + 8.0 * np.sqrt(expected) + 16.0).astype(np.int64)
+        ends = np.cumsum(budget)
+        starts = ends - budget
+        few = expected <= 1.0
+        if np.count_nonzero(few) < _HEAD_MIN_CELLS:
+            few[:] = False
+        head = np.nonzero(few)[0]
+        direct = np.nonzero(~few)[0]
+        return cls(
+            budget=budget,
+            starts=starts,
+            total=int(ends[-1]),
+            head=head,
+            head_slots=starts[head, np.newaxis] + np.arange(_HEAD_SLOTS),
+            head_log_w=plane.log_w[head, np.newaxis],
+            head_cols=np.repeat(plane.cells[head], _HEAD_SLOTS).reshape(-1, _HEAD_SLOTS),
+            direct=(
+                _Segments.build(plane, budget, starts, direct, 0)
+                if direct.size
+                else None
+            ),
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class BernoulliPlane:
+    """A probability plane compiled for :meth:`NoiseSource.bernoulli_plane`.
+
+    Everything the mixture sampler derives from the probabilities
+    alone, computed once: the uint8 base thresholds, the columns pinned
+    at p == 1, the columns carrying a correction (``cells``) with their
+    weights ``w`` and ``log1p(-w)``, and — per ``count`` — the layout of
+    their gap budgets.  ``probabilities`` (clipped, flattened) and
+    ``invert`` keep the inputs, for samplers that cannot use the
+    mixture form (:class:`~repro.faults.injector.FaultyNoiseSource`).
+
+    A plane is a pure function of its inputs, so it is valid exactly as
+    long as they are: the sample plans that hold one are recompiled
+    whenever the device's ``state_epoch`` moves.  All arrays are
+    read-only.
+    """
+
+    probabilities: npt.NDArray[np.float64]
+    invert: Optional[npt.NDArray[np.bool_]]
+    threshold: npt.NDArray[np.uint8]
+    pinned: npt.NDArray[np.int64]
+    cells: npt.NDArray[np.int64]
+    w: npt.NDArray[np.float64]
+    log_w: npt.NDArray[np.float64]
+    _layouts: Dict[int, _GapLayout] = field(
+        default_factory=dict, repr=False, compare=False
+    )
+
+    @classmethod
+    def compile(
+        cls,
+        probabilities: npt.ArrayLike,
+        invert: Optional[npt.ArrayLike] = None,
+    ) -> "BernoulliPlane":
+        """Compile ``probabilities`` (and an optional ``invert`` mask)."""
+        probs = np.clip(
+            np.asarray(probabilities, dtype=np.float64).ravel(), 0.0, 1.0
+        )
+        mask = None
+        effective = probs
+        if invert is not None:
+            mask = _frozen(np.asarray(invert).ravel().astype(bool))
+            effective = np.where(mask, 1.0 - probs, probs)
+        scaled = np.floor(effective * 256.0).astype(np.int64)
+        pinned = scaled >= 256  # p == 1.0 exactly
+        q = np.minimum(scaled, 256).astype(np.float64) / 256.0
+        delta = np.maximum(effective - q, 0.0)
+        live = (delta > 0.0) & (q < 1.0)
+        w = delta[live] / (1.0 - q[live])
+        return cls(
+            probabilities=_frozen(probs),
+            invert=mask,
+            threshold=_frozen(np.where(pinned, 0, scaled).astype(np.uint8)),
+            pinned=_frozen(np.nonzero(pinned)[0]),
+            cells=_frozen(np.nonzero(live)[0]),
+            w=_frozen(w),
+            log_w=_frozen(np.log1p(-w)),
+        )
+
+    @classmethod
+    def of(
+        cls,
+        probabilities: Union[npt.ArrayLike, BernoulliPlane],
+        invert: Optional[npt.ArrayLike] = None,
+    ) -> BernoulliPlane:
+        """``probabilities`` itself if already compiled, else compiled."""
+        if isinstance(probabilities, cls):
+            if invert is not None:
+                raise ValueError("a compiled plane carries its own invert mask")
+            return probabilities
+        return cls.compile(probabilities, invert)
+
+    @property
+    def size(self) -> int:
+        """Number of columns."""
+        return int(self.probabilities.size)
+
+    def layout(self, count: int) -> _GapLayout:
+        """The gap-budget layout for ``count`` rows (cached)."""
+        layout = self._layouts.get(count)
+        if layout is None:
+            layout = _GapLayout.build(self, count)
+            if len(self._layouts) >= _LAYOUT_CACHE_SIZE:
+                self._layouts.clear()
+            self._layouts[count] = layout
+        return layout
 
 
 class NoiseSource:
@@ -62,7 +278,7 @@ class NoiseSource:
 
     def bernoulli_plane(
         self,
-        probabilities: npt.ArrayLike,
+        probabilities: Union[npt.ArrayLike, BernoulliPlane],
         count: int,
         invert: Optional[npt.ArrayLike] = None,
     ) -> npt.NDArray[np.bool_]:
@@ -73,11 +289,18 @@ class NoiseSource:
         path behind batched cell sampling, where the same per-cell
         probabilities are re-drawn for every Algorithm 2 iteration.
 
-        ``invert``, when given, is a per-column truthy mask: column
-        ``j`` of the result is logically negated where ``invert[j]`` —
-        i.e. a draw at ``1 − p[j]``.  The negation is folded into the
-        sampling threshold, so callers XOR-ing a stored bit on top of
-        flip draws get the fold for free instead of a full-matrix pass.
+        ``probabilities`` is either a raw probability array or a
+        :class:`BernoulliPlane` compiled from one; plans that re-draw
+        the same plane on every call hold the compiled form, so the
+        per-column arithmetic runs once per plan instead of per call.
+        Both give the same draws from the same generator state.
+
+        ``invert``, when given with a raw array, is a per-column truthy
+        mask: column ``j`` of the result is logically negated where
+        ``invert[j]`` — i.e. a draw at ``1 − p[j]``.  The negation is
+        folded into the sampling threshold, so callers XOR-ing a stored
+        bit on top of flip draws get the fold for free instead of a
+        full-matrix pass.  A compiled plane carries its own mask.
 
         Exactness is preserved while avoiding one ``float64`` uniform
         per bit, by mixture decomposition: each (possibly inverted) p is
@@ -94,24 +317,10 @@ class NoiseSource:
         """
         if count < 0:
             raise ValueError(f"count must be non-negative, got {count}")
-        probs = np.clip(
-            np.asarray(probabilities, dtype=np.float64).ravel(), 0.0, 1.0
-        )
-        n = probs.size
+        plane = BernoulliPlane.of(probabilities, invert)
+        n = plane.size
         if count == 0 or n == 0:
             return np.zeros((count, n), dtype=np.bool_)
-        if invert is not None:
-            flip_mask = np.asarray(invert).ravel().astype(bool)
-            probs = np.where(flip_mask, 1.0 - probs, probs)
-
-        scaled = np.floor(probs * 256.0).astype(np.int64)
-        pinned = scaled >= 256  # p == 1.0 exactly
-        threshold = np.where(pinned, 0, scaled).astype(np.uint8)
-        q = np.minimum(scaled, 256).astype(np.float64) / 256.0
-        delta = np.maximum(probs - q, 0.0)
-        w = np.zeros(n, dtype=np.float64)
-        live = (delta > 0.0) & (q < 1.0)
-        w[live] = delta[live] / (1.0 - q[live])
 
         # Uniform bytes via full-range 64-bit words (the generator's
         # native output — ~3x faster than a uint8 integers draw).
@@ -120,62 +329,83 @@ class NoiseSource:
             0, 2**64, size=-(-total // 8), dtype=np.uint64
         )
         raw = words.view(np.uint8)[:total].reshape(count, n)
-        flips = raw < threshold[np.newaxis, :]
-        if pinned.any():
-            flips[:, pinned] = True
-        if live.any():
-            self._scatter_corrections(flips, np.nonzero(live)[0], w[live], count)
+        flips = raw < plane.threshold[np.newaxis, :]
+        if plane.pinned.size:
+            flips[:, plane.pinned] = True
+        if plane.cells.size:
+            self._scatter_corrections(flips, plane, count)
         return flips
 
     def _scatter_corrections(
         self,
         flips: npt.NDArray[np.bool_],
-        cells: npt.NDArray[np.int64],
-        w: npt.NDArray[np.float64],
+        plane: BernoulliPlane,
         count: int,
     ) -> None:
         """OR sparse ``Bernoulli(w[k])`` hits into ``flips[:, cells[k]]``.
 
         Hit positions come from geometric inter-arrival gaps
-        ``1 + floor(log(1−u)/log(1−w))``; each cell gets an
-        8-sigma-padded gap budget, with a scalar tail loop absorbing the
-        (astronomically rare) undershoot so the result stays exact.
+        ``1 + floor(log(1−u)/log(1−w))``.  Every correction cell owns
+        an 8-sigma-padded budget of gap slots in one uniform block drawn
+        up front, but only the slots a cell needs to pass ``count`` are
+        turned into gaps: the layout's head cells first evaluate
+        :data:`_HEAD_SLOTS` slots each, and one segment pass covers the
+        other cells and the head cells still short of ``count``.  A
+        scalar tail loop absorbs the (astronomically rare) budget
+        undershoot so the result stays exact.
         """
-        expected = count * w
-        budget = np.ceil(expected + 8.0 * np.sqrt(expected) + 16.0).astype(np.int64)
-        total = int(budget.sum())
-        u = self._rng.random(total)
-        w_flat = np.repeat(w, budget)
-        # Tiny w makes raw gaps astronomically large; clamp to ``count``
-        # before the integer cast (a gap of count+1 already lands every
-        # subsequent position past the matrix, so clamping is exact).
-        raw_gaps = np.fmin(np.floor(np.log1p(-u) / np.log1p(-w_flat)), float(count))
-        gaps = 1 + raw_gaps.astype(np.int64)
-        cum = np.cumsum(gaps)
-        seg_end = np.cumsum(budget)
-        seg_off = np.concatenate(([np.int64(0)], cum[seg_end[:-1] - 1]))
-        pos = cum - np.repeat(seg_off, budget) - 1
-        col = np.repeat(cells, budget)
-        in_range = pos < count
-        flips[pos[in_range], col[in_range]] = True
+        layout = plane.layout(count)
+        u = self._rng.random(layout.total)
+        segments = layout.direct
+        base: Union[int, npt.NDArray[np.int64]] = -1
+        if layout.head.size:
+            position = np.cumsum(
+                _gaps(u[layout.head_slots], layout.head_log_w, count), axis=1
+            ) - 1
+            hit = position < count
+            flips[position[hit], layout.head_cols[hit]] = True
+            last = position[:, -1]
+            short = last < count
+            if short.any():
+                # Merge the short head cells into the segment pass in
+                # cell order, resuming after their head slots.
+                cells = layout.head[short]
+                skip = np.full(cells.size, _HEAD_SLOTS, dtype=np.int64)
+                base = last[short]
+                if segments is not None:
+                    cells = np.concatenate((segments.cells, cells))
+                    direct = np.zeros(segments.cells.size, dtype=np.int64)
+                    skip = np.concatenate((direct, skip))
+                    base = np.concatenate((direct - 1, base))
+                    order = np.argsort(cells)
+                    cells, skip, base = cells[order], skip[order], base[order]
+                segments = _Segments.build(
+                    plane, layout.budget, layout.starts, cells, skip
+                )
 
-        # A segment whose budget ran out before reaching ``count`` may
+        if segments is None:
+            return
+        cum = np.cumsum(_gaps(u[segments.slots], segments.log_w, count))
+        seg_off = np.concatenate(([np.int64(0)], cum[segments.ends[:-1] - 1]))
+        pos = cum + np.repeat(base - seg_off, segments.runs)
+        in_range = pos < count
+        flips[pos[in_range], segments.cols[in_range]] = True
+
+        # A cell whose budget ran out before reaching ``count`` may
         # still owe corrections; finish those cells in vectorized
         # resample rounds (one draw per still-owing cell per round, so
         # the common case — no undershoot — consumes no draws at all).
-        last = cum[seg_end - 1] - seg_off - 1
-        owed = np.nonzero(last < count)[0]
-        position = last[owed]
+        last = base + cum[segments.ends - 1] - seg_off
+        owing = last < count
+        owed = segments.cells[owing]
+        last = last[owing]
         while owed.size:
             draws = self._rng.random(owed.size)
-            raw = np.fmin(
-                np.floor(np.log1p(-draws) / np.log1p(-w[owed])), float(count)
-            )
-            position = position + 1 + raw.astype(np.int64)
-            live = position < count
-            position = position[live]
+            last = last + _gaps(draws, plane.log_w[owed], count)
+            live = last < count
+            last = last[live]
             owed = owed[live]
-            flips[position, cells[owed]] = True
+            flips[last, plane.cells[owed]] = True
 
     def gaussian(
         self, shape: ShapeLike, sigma: float = 1.0

@@ -73,6 +73,31 @@ class TestConditioning:
         assert bits is out
         assert set(np.unique(out)) <= {0, 1}
 
+    @pytest.mark.parametrize("num_bits", [100, 1000, 5000])
+    def test_out_buffer_holds_the_same_bits_as_a_fresh_result(self, num_bits):
+        # 5000 bits take several conditioned chunks; 100 and 1000 end
+        # inside one, so the last chunk's tail is dropped.
+        backend_a, _, plan_a = _prepared()
+        backend_b, _, plan_b = _prepared()
+        out = np.full(num_bits, 7, dtype=np.uint8)
+        backend_a.sample(plan_a, num_bits, out=out)
+        assert np.array_equal(out, backend_b.sample(plan_b, num_bits))
+
+    def test_rejected_buffer_draws_no_noise(self):
+        backend_a, _, plan_a = _prepared()
+        backend_b, _, plan_b = _prepared()
+        with pytest.raises(ConfigurationError):
+            backend_a.sample(plan_a, 64, out=np.empty(64, dtype=np.int64))
+        assert np.array_equal(
+            backend_a.sample(plan_a, 512), backend_b.sample(plan_b, 512)
+        )
+
+    def test_plan_holds_its_compiled_plane(self):
+        _, _, plan = _prepared()
+        assert plan.bernoulli.size == plan.raw_bits_per_iteration
+        assert np.array_equal(plan.bernoulli.probabilities, plan.probabilities)
+        assert plan.bernoulli.invert is None
+
 
 class TestEpochInvalidation:
     """Writes, environment changes, and faults all invalidate the plan."""

@@ -155,6 +155,31 @@ class TestCompileCells:
             with pytest.raises(ValueError):
                 array[0] = 0
 
+    def test_bernoulli_plane_is_compiled_from_the_snapshot(self):
+        plan = compile_cells(_make_device(), CELLS, TRCD)
+        assert np.array_equal(plan.bernoulli.probabilities, plan.probabilities)
+        assert np.array_equal(plan.bernoulli.invert, plan.stored_bits.astype(bool))
+
+    def test_compiled_plane_draws_match_the_per_call_compile(self):
+        device_a, device_b = _twin_devices(noise_seed=53)
+        plan = compile_cells(device_a, CELLS, TRCD)
+        for count in (3, 700, 3):
+            fresh = device_a.sample_cells_bits(
+                CELLS, count, TRCD, mixture=True, compiled=plan.bernoulli
+            )
+            per_call = device_b.sample_cells_bits(CELLS, count, TRCD, mixture=True)
+            assert np.array_equal(fresh, per_call)
+
+    def test_compiled_plane_is_mixture_only_and_sized_to_the_cells(self):
+        device = _make_device()
+        plan = compile_cells(device, CELLS, TRCD)
+        with pytest.raises(ConfigurationError):
+            device.sample_cells_bits(CELLS, 4, TRCD, compiled=plan.bernoulli)
+        with pytest.raises(ConfigurationError):
+            device.sample_cells_bits(
+                CELLS[:2], 4, TRCD, mixture=True, compiled=plan.bernoulli
+            )
+
 
 # ----------------------------------------------------------------------
 # Full pipeline: compiled plan vs the manual Algorithm 2 loop

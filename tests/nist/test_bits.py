@@ -25,6 +25,42 @@ class TestAsBits:
         with pytest.raises(ValueError):
             B.as_bits(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([0, 1, 2], dtype=np.int64),
+            np.array([0, 1, 2], dtype=np.uint8),
+            np.array([1, -1, 0], dtype=np.int8),
+            np.array([0.0, 0.5, 1.0]),
+            np.array([1.0, -1.0]),
+        ],
+        ids=["int64-2", "uint8-2", "int8-neg", "float-half", "float-neg"],
+    )
+    def test_rejects_out_of_range_values_of_every_dtype(self, bad):
+        with pytest.raises(ValueError):
+            B.as_bits(bad)
+
+    @pytest.mark.parametrize(
+        "two_d",
+        [np.zeros((2, 2), dtype=np.bool_), np.zeros((2, 2), dtype=np.uint8)],
+        ids=["bool", "uint8"],
+    )
+    def test_rejects_2d_of_every_dtype(self, two_d):
+        with pytest.raises(ValueError):
+            B.as_bits(two_d)
+
+    @pytest.mark.parametrize("dtype", [np.bool_, np.uint8, np.int64, np.float64])
+    def test_valid_input_of_every_dtype_becomes_uint8(self, dtype):
+        bits = B.as_bits(np.array([1, 0, 1, 1], dtype=dtype))
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == [1, 0, 1, 1]
+
+    def test_result_does_not_alias_the_input(self):
+        source = np.array([True, False])
+        bits = B.as_bits(source)
+        bits[0] = 0
+        assert source[0]
+
     @given(st.binary(min_size=0, max_size=64))
     @settings(max_examples=50)
     def test_pack_unpack_roundtrip(self, raw):
